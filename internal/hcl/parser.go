@@ -462,6 +462,13 @@ func (p *parser) parseObjectOrForObject() Expression {
 			obj.Rng = RangeBetween(open.Range, endTok.Range)
 			return obj
 		}
+		// The recovery paths below continue without consuming a token when
+		// they stop at EOF, so end of input must end the loop here.
+		if t := p.peek(); t.Type == TokenEOF {
+			p.errorf(t.Range, "expected %s to close object, found %s", TokenRBrace, t.Type)
+			obj.Rng = RangeBetween(open.Range, t.Range)
+			return obj
+		}
 		var key Expression
 		kt := p.peek()
 		switch kt.Type {

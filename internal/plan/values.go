@@ -7,7 +7,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,23 +74,55 @@ type groupKey struct {
 	name string
 }
 
+// rootName is the scope variable a group hangs under: its type, or "data".
+func (gk groupKey) rootName() string {
+	if gk.data {
+		return "data"
+	}
+	return gk.typ
+}
+
 // memberRef locates an instance within the group index.
 type memberRef struct {
-	modulePath string
-	gk         groupKey
-	keyRepr    string
-	key        any // nil, int, or string
+	mod  *moduleIndex
+	gk   groupKey
+	addr string
+	key  any // nil, int, or string
+}
+
+// moduleIndex is the static group index of one module plus the values
+// cached from it. A group's value is cached because a count group is read
+// by each of its many dependents (every NIC reads aws_subnet.r); Set drops
+// the written group's value and every output value of the module.
+type moduleIndex struct {
+	groups map[groupKey][]memberRef
+	byRoot map[string][]groupKey // root name -> groups under it
+
+	assembled map[groupKey]eval.Value // group value cache
+	outputs   map[string]eval.Value   // module output value cache
+}
+
+// refSet is what a set of expressions references, resolved once against
+// the groups of the module they are evaluated in. A root referenced only as
+// type.name (or data.type.name, module.call.output) exposes just the named
+// members. A root referenced whole, through a non-attribute step or by a
+// name that is no group, exposes all of its members, so length(aws_vpc),
+// aws_vpc["a"] and aws_vpc.nope evaluate exactly as against a full root.
+type refSet struct {
+	roots   map[string][]groupKey // root name -> groups it exposes
+	modules map[string][]string   // module call -> outputs it exposes; nil: no "module" root
 }
 
 // ValueStore holds the evaluated object value of every resource instance and
 // provides evaluation scopes that expose them to expressions. It is safe for
 // concurrent use (the applier writes from many workers).
 //
-// Scope roots are cached at group granularity: Set(addr) re-assembles only
-// the group containing addr and marks its root dirty, so building N scopes
-// interleaved with N writes costs O(N·groupSize) instead of O(N²) — the
-// difference between a 100-resource plan taking milliseconds and taking
-// seconds.
+// A scope exposes only what its expressions reference. A group referenced
+// by name is assembled from the instance values and cached until one of its
+// members is written; a root referenced whole is assembled from the cached
+// groups under it. Building a scope therefore costs in proportion to what
+// the instance references, not to the size of its module, and a plan that
+// interleaves N scopes with N writes stays linear in N.
 type ValueStore struct {
 	mu   sync.Mutex
 	vals map[string]eval.Value // instance addr -> object value
@@ -99,83 +130,71 @@ type ValueStore struct {
 
 	// Static index, built once from the expansion.
 	memberOf map[string]memberRef
-	groups   map[string]map[groupKey][]memberRef // modulePath -> group -> members
+	modules  map[string]*moduleIndex // modulePath -> index
 
-	// Caches.
-	assembled    map[string]map[groupKey]eval.Value // group value cache
-	roots        map[string]map[string]eval.Value   // modulePath -> root name -> value
-	dirtyRoots   map[string]map[string]bool         // modulePath -> root name -> dirty
-	moduleDirty  bool                               // "module" root of the root module
-	moduleCached eval.Value
+	// References, classified on first use: per resource address for
+	// instances (instances of one resource share their expressions), per
+	// spec for outputs.
+	instRefs   map[string]*refSet
+	outputRefs map[*config.OutputSpec]*refSet
 }
 
 // NewValueStore builds a store for an expansion.
 func NewValueStore(ex *config.Expansion) *ValueStore {
 	vs := &ValueStore{
-		vals:        map[string]eval.Value{},
-		ex:          ex,
-		memberOf:    map[string]memberRef{},
-		groups:      map[string]map[groupKey][]memberRef{},
-		assembled:   map[string]map[groupKey]eval.Value{},
-		roots:       map[string]map[string]eval.Value{},
-		dirtyRoots:  map[string]map[string]bool{},
-		moduleDirty: true,
+		vals:       map[string]eval.Value{},
+		ex:         ex,
+		memberOf:   make(map[string]memberRef, len(ex.Instances)),
+		modules:    map[string]*moduleIndex{},
+		instRefs:   map[string]*refSet{},
+		outputRefs: map[*config.OutputSpec]*refSet{},
 	}
 	for _, inst := range ex.Instances {
 		pa, err := ParseAddr(inst.Addr)
 		if err != nil {
 			continue
 		}
+		mi := vs.moduleLocked(inst.ModulePath)
 		ref := memberRef{
-			modulePath: inst.ModulePath,
-			gk:         groupKey{data: pa.Data, typ: pa.Type, name: pa.Name},
-			keyRepr:    fmt.Sprintf("%v", pa.Key),
-			key:        pa.Key,
+			mod:  mi,
+			gk:   groupKey{data: pa.Data, typ: pa.Type, name: pa.Name},
+			addr: inst.Addr,
+			key:  pa.Key,
 		}
 		vs.memberOf[inst.Addr] = ref
-		if vs.groups[ref.modulePath] == nil {
-			vs.groups[ref.modulePath] = map[groupKey][]memberRef{}
-			vs.assembled[ref.modulePath] = map[groupKey]eval.Value{}
-			vs.dirtyRoots[ref.modulePath] = map[string]bool{}
-			vs.roots[ref.modulePath] = map[string]eval.Value{}
+		if _, seen := mi.groups[ref.gk]; !seen {
+			mi.byRoot[ref.gk.rootName()] = append(mi.byRoot[ref.gk.rootName()], ref.gk)
 		}
-		vs.groups[ref.modulePath][ref.gk] = append(vs.groups[ref.modulePath][ref.gk], ref)
-	}
-	// Everything starts dirty (all values unknown).
-	for mp, byGroup := range vs.groups {
-		for gk := range byGroup {
-			vs.markDirtyLocked(mp, gk)
-		}
+		mi.groups[ref.gk] = append(mi.groups[ref.gk], ref)
 	}
 	return vs
 }
 
-func rootNameOf(gk groupKey) string {
-	if gk.data {
-		return "data"
+// moduleLocked returns the index of a module, empty if it has no instances.
+func (vs *ValueStore) moduleLocked(modulePath string) *moduleIndex {
+	mi := vs.modules[modulePath]
+	if mi == nil {
+		mi = &moduleIndex{
+			groups:    map[groupKey][]memberRef{},
+			byRoot:    map[string][]groupKey{},
+			assembled: map[groupKey]eval.Value{},
+		}
+		vs.modules[modulePath] = mi
 	}
-	return gk.typ
-}
-
-func (vs *ValueStore) markDirtyLocked(modulePath string, gk groupKey) {
-	delete(vs.assembled[modulePath], gk)
-	vs.dirtyRoots[modulePath][rootNameOf(gk)] = true
-	if modulePath != "" {
-		vs.moduleDirty = true
-	}
+	return mi
 }
 
 // assembleGroupLocked computes the value of one group: a single object,
 // an index-ordered list, or a key-addressed map.
-func (vs *ValueStore) assembleGroupLocked(modulePath string, gk groupKey) eval.Value {
-	if v, ok := vs.assembled[modulePath][gk]; ok {
+func (vs *ValueStore) assembleGroupLocked(mi *moduleIndex, gk groupKey) eval.Value {
+	if v, ok := mi.assembled[gk]; ok {
 		return v
 	}
-	members := vs.groups[modulePath][gk]
+	members := mi.groups[gk]
 	var out eval.Value
 	switch members[0].key.(type) {
 	case nil:
-		out = vs.valueOfLocked(modulePath, gk, members[0])
+		out = vs.valueOfLocked(members[0].addr)
 	case int:
 		maxIdx := -1
 		for _, m := range members {
@@ -188,81 +207,25 @@ func (vs *ValueStore) assembleGroupLocked(modulePath string, gk groupKey) eval.V
 			list[i] = eval.Unknown
 		}
 		for _, m := range members {
-			list[m.key.(int)] = vs.valueOfLocked(modulePath, gk, m)
+			list[m.key.(int)] = vs.valueOfLocked(m.addr)
 		}
 		out = eval.ListOf(list)
 	case string:
-		obj := map[string]eval.Value{}
+		obj := make(map[string]eval.Value, len(members))
 		for _, m := range members {
-			obj[m.key.(string)] = vs.valueOfLocked(modulePath, gk, m)
+			obj[m.key.(string)] = vs.valueOfLocked(m.addr)
 		}
 		out = eval.Object(obj)
 	}
-	vs.assembled[modulePath][gk] = out
+	mi.assembled[gk] = out
 	return out
 }
 
-func (vs *ValueStore) valueOfLocked(modulePath string, gk groupKey, m memberRef) eval.Value {
-	addr := instanceAddr(modulePath, gk, m)
+func (vs *ValueStore) valueOfLocked(addr string) eval.Value {
 	if v, ok := vs.vals[addr]; ok {
 		return v
 	}
 	return eval.Unknown
-}
-
-func instanceAddr(modulePath string, gk groupKey, m memberRef) string {
-	base := gk.typ + "." + gk.name
-	if gk.data {
-		base = "data." + base
-	}
-	if modulePath != "" {
-		base = "module." + modulePath + "." + base
-	}
-	switch k := m.key.(type) {
-	case nil:
-		return base
-	case int:
-		return fmt.Sprintf("%s[%d]", base, k)
-	default:
-		return fmt.Sprintf("%s[%q]", base, k)
-	}
-}
-
-// refreshRootsLocked rebuilds the dirty root objects of one module.
-func (vs *ValueStore) refreshRootsLocked(modulePath string) {
-	dirty := vs.dirtyRoots[modulePath]
-	if len(dirty) == 0 {
-		return
-	}
-	for rootName := range dirty {
-		byName := map[string]eval.Value{}
-		if rootName == "data" {
-			byType := map[string]map[string]eval.Value{}
-			for gk := range vs.groups[modulePath] {
-				if !gk.data {
-					continue
-				}
-				if byType[gk.typ] == nil {
-					byType[gk.typ] = map[string]eval.Value{}
-				}
-				byType[gk.typ][gk.name] = vs.assembleGroupLocked(modulePath, gk)
-			}
-			dr := map[string]eval.Value{}
-			for typ, names := range byType {
-				dr[typ] = eval.Object(names)
-			}
-			vs.roots[modulePath]["data"] = eval.Object(dr)
-			continue
-		}
-		for gk := range vs.groups[modulePath] {
-			if gk.data || gk.typ != rootName {
-				continue
-			}
-			byName[gk.name] = vs.assembleGroupLocked(modulePath, gk)
-		}
-		vs.roots[modulePath][rootName] = eval.Object(byName)
-	}
-	vs.dirtyRoots[modulePath] = map[string]bool{}
 }
 
 // NewEmptyValueStore builds a store with no configuration behind it, used
@@ -283,7 +246,7 @@ func (vs *ValueStore) RootOutputs() map[string]*config.OutputSpec {
 func (vs *ValueStore) OutputValue(spec *config.OutputSpec) eval.Value {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	return vs.evaluateOutputLocked(spec)
+	return vs.outputLocked(spec)
 }
 
 // ResourceAddrOf strips the instance key from an address.
@@ -300,7 +263,8 @@ func (vs *ValueStore) Set(addr string, v eval.Value) {
 	vs.mu.Lock()
 	vs.vals[addr] = v
 	if ref, ok := vs.memberOf[addr]; ok {
-		vs.markDirtyLocked(ref.modulePath, ref.gk)
+		delete(ref.mod.assembled, ref.gk)
+		ref.mod.outputs = nil
 	}
 	vs.mu.Unlock()
 }
@@ -314,110 +278,179 @@ func (vs *ValueStore) Get(addr string) (eval.Value, bool) {
 }
 
 // ScopeFor builds the evaluation context for an instance: its configuration
-// scope (vars, locals, count/each) extended with every resource, data
-// source, and module output visible from its module. Root objects come from
-// the group cache; only groups written since the last call are reassembled.
+// scope (vars, locals, count/each) extended with the resources, data
+// sources and module outputs its attributes reference. Every reference
+// resolves as it would against the module's full roots; roots it does not
+// reference are absent.
 func (vs *ValueStore) ScopeFor(inst *config.Instance) *eval.Context {
-	scope := inst.Scope.Child()
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-
-	vs.refreshRootsLocked(inst.ModulePath)
-	for rootName, v := range vs.roots[inst.ModulePath] {
-		scope.Variables[rootName] = v
-	}
-	if _, ok := scope.Variables["data"]; !ok {
-		scope.Variables["data"] = eval.Object(nil)
-	}
-
-	// Module outputs are visible from the root module only.
-	if inst.ModulePath == "" && len(vs.ex.ModuleOutputs) > 0 {
-		if vs.moduleDirty {
-			modRoot := map[string]eval.Value{}
-			for callName, outs := range vs.ex.ModuleOutputs {
-				outVals := map[string]eval.Value{}
-				for name, spec := range outs {
-					outVals[name] = vs.evaluateOutputLocked(spec)
-				}
-				modRoot[callName] = eval.Object(outVals)
-			}
-			vs.moduleCached = eval.Object(modRoot)
-			vs.moduleDirty = false
+	key := inst.ResourceAddr()
+	refs := vs.instRefs[key]
+	if refs == nil {
+		var trs []hcl.Traversal
+		for _, expr := range inst.Attrs {
+			trs = append(trs, expr.Variables()...)
 		}
-		scope.Variables["module"] = vs.moduleCached
+		refs = vs.classifyLocked(inst.ModulePath, trs, false)
+		vs.instRefs[key] = refs
+	}
+	return vs.scopeLocked(vs.moduleLocked(inst.ModulePath), inst.Scope, refs)
+}
+
+// outputLocked computes an output against current values, through the
+// module's output cache. An output sees only its own module's resources.
+func (vs *ValueStore) outputLocked(spec *config.OutputSpec) eval.Value {
+	mi := vs.moduleLocked(spec.ModulePath)
+	if v, ok := mi.outputs[spec.Name]; ok {
+		return v
+	}
+	refs := vs.outputRefs[spec]
+	if refs == nil {
+		refs = vs.classifyLocked(spec.ModulePath, spec.Expr.Variables(), true)
+		vs.outputRefs[spec] = refs
+	}
+	v, diags := eval.Evaluate(spec.Expr, vs.scopeLocked(mi, spec.Scope, refs))
+	if diags.HasErrors() {
+		v = eval.Unknown
+	}
+	if mi.outputs == nil {
+		mi.outputs = map[string]eval.Value{}
+	}
+	mi.outputs[spec.Name] = v
+	return v
+}
+
+// classifyLocked resolves traversals against the groups of one module.
+// Resource-type roots are visible when the module has groups of that type;
+// "data" and, in the root module of a configuration with module calls,
+// "module" are visible to instances but not to outputs.
+func (vs *ValueStore) classifyLocked(modulePath string, trs []hcl.Traversal, output bool) *refSet {
+	mi := vs.moduleLocked(modulePath)
+	whole := map[string]bool{}
+	named := map[groupKey]bool{}
+	outs := map[[2]string]bool{} // module call, output name
+	for _, tr := range trs {
+		root := tr.RootName()
+		a, b, pair := attrPair(tr)
+		switch {
+		case root == "module":
+			if output || modulePath != "" || len(vs.ex.ModuleOutputs) == 0 {
+				continue
+			}
+			if pair && vs.ex.ModuleOutputs[a][b] != nil {
+				outs[[2]string{a, b}] = true
+			} else {
+				whole[root] = true
+			}
+		case root == "data":
+			if output {
+				continue
+			}
+			if gk := (groupKey{data: true, typ: a, name: b}); pair && mi.groups[gk] != nil {
+				named[gk] = true
+			} else {
+				whole[root] = true
+			}
+		case len(mi.byRoot[root]) > 0:
+			gk := groupKey{typ: root}
+			if len(tr) >= 2 {
+				if step, ok := tr[1].(hcl.TraverseAttr); ok {
+					gk.name = step.Name
+				}
+			}
+			if mi.groups[gk] != nil {
+				named[gk] = true
+			} else {
+				whole[root] = true
+			}
+		}
+	}
+
+	refs := &refSet{roots: map[string][]groupKey{}}
+	for root := range whole {
+		if root != "module" {
+			refs.roots[root] = mi.byRoot[root]
+		}
+	}
+	for gk := range named {
+		if root := gk.rootName(); !whole[root] {
+			refs.roots[root] = append(refs.roots[root], gk)
+		}
+	}
+	switch {
+	case whole["module"]:
+		refs.modules = make(map[string][]string, len(vs.ex.ModuleOutputs))
+		for call, specs := range vs.ex.ModuleOutputs {
+			names := make([]string, 0, len(specs))
+			for name := range specs {
+				names = append(names, name)
+			}
+			refs.modules[call] = names
+		}
+	case len(outs) > 0:
+		refs.modules = map[string][]string{}
+		for o := range outs {
+			refs.modules[o[0]] = append(refs.modules[o[0]], o[1])
+		}
+	}
+	return refs
+}
+
+// attrPair reads the two attribute steps after a traversal's root, as in
+// module.call.output or data.type.name.
+func attrPair(tr hcl.Traversal) (string, string, bool) {
+	if len(tr) < 3 {
+		return "", "", false
+	}
+	a, ok1 := tr[1].(hcl.TraverseAttr)
+	b, ok2 := tr[2].(hcl.TraverseAttr)
+	return a.Name, b.Name, ok1 && ok2
+}
+
+// scopeLocked extends parent with the roots and module outputs in refs.
+func (vs *ValueStore) scopeLocked(mi *moduleIndex, parent *eval.Context, refs *refSet) *eval.Context {
+	scope := parent.Child()
+	for root, gks := range refs.roots {
+		scope.Variables[root] = vs.rootObjectLocked(mi, gks)
+	}
+	if refs.modules != nil {
+		calls := make(map[string]eval.Value, len(refs.modules))
+		for call, names := range refs.modules {
+			outs := make(map[string]eval.Value, len(names))
+			for _, name := range names {
+				outs[name] = vs.outputLocked(vs.ex.ModuleOutputs[call][name])
+			}
+			calls[call] = eval.Object(outs)
+		}
+		scope.Variables["module"] = eval.Object(calls)
 	}
 	return scope
 }
 
-// evaluateOutputLocked computes a module output against current values.
-// Callers hold vs.mu (at least RLock); the nested ScopeFor-like assembly is
-// done through a pseudo instance bound to the module path.
-func (vs *ValueStore) evaluateOutputLocked(spec *config.OutputSpec) eval.Value {
-	// Build a minimal scope: the module's own resources.
-	scope := spec.Scope.Child()
-	roots := map[string]map[string]map[string]eval.Value{} // type -> name -> key -> val
-	for _, other := range vs.ex.Instances {
-		if other.ModulePath != spec.ModulePath {
+// rootObjectLocked assembles the object a root exposes over some of its
+// groups: {name: group} under a type, {type: {name: group}} under data.
+func (vs *ValueStore) rootObjectLocked(mi *moduleIndex, gks []groupKey) eval.Value {
+	obj := make(map[string]eval.Value, len(gks))
+	var byType map[string]map[string]eval.Value
+	for _, gk := range gks {
+		v := vs.assembleGroupLocked(mi, gk)
+		if !gk.data {
+			obj[gk.name] = v
 			continue
 		}
-		pa, err := ParseAddr(other.Addr)
-		if err != nil || pa.Data {
-			continue
+		if byType == nil {
+			byType = map[string]map[string]eval.Value{}
 		}
-		v, ok := vs.vals[other.Addr]
-		if !ok {
-			v = eval.Unknown
+		if byType[gk.typ] == nil {
+			byType[gk.typ] = map[string]eval.Value{}
 		}
-		if roots[pa.Type] == nil {
-			roots[pa.Type] = map[string]map[string]eval.Value{}
-		}
-		if roots[pa.Type][pa.Name] == nil {
-			roots[pa.Type][pa.Name] = map[string]eval.Value{}
-		}
-		roots[pa.Type][pa.Name][fmt.Sprintf("%v", pa.Key)] = v
+		byType[gk.typ][gk.name] = v
 	}
-	for typ, byName := range roots {
-		obj := map[string]eval.Value{}
-		for name, members := range byName {
-			if v, single := members["<nil>"]; single && len(members) == 1 {
-				obj[name] = v
-				continue
-			}
-			// Indexed: decide list vs map by key shape.
-			isList := true
-			for k := range members {
-				if _, err := strconv.Atoi(k); err != nil {
-					isList = false
-					break
-				}
-			}
-			if isList {
-				keys := make([]int, 0, len(members))
-				for k := range members {
-					n, _ := strconv.Atoi(k)
-					keys = append(keys, n)
-				}
-				sort.Ints(keys)
-				list := make([]eval.Value, len(keys))
-				for i, k := range keys {
-					list[i] = members[strconv.Itoa(k)]
-				}
-				obj[name] = eval.ListOf(list)
-			} else {
-				m := map[string]eval.Value{}
-				for k, v := range members {
-					m[k] = v
-				}
-				obj[name] = eval.Object(m)
-			}
-		}
-		scope.Variables[typ] = eval.Object(obj)
+	for typ, names := range byType {
+		obj[typ] = eval.Object(names)
 	}
-	v, diags := eval.Evaluate(spec.Expr, scope)
-	if diags.HasErrors() {
-		return eval.Unknown
-	}
-	return v
+	return eval.Object(obj)
 }
 
 // EvaluateAttrs computes the concrete attribute values of an instance under

@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"context"
 	"testing"
 
 	"cloudless/internal/config"
 	"cloudless/internal/eval"
+	"cloudless/internal/state"
 )
 
 func expandForValues(t *testing.T, src string) *config.Expansion {
@@ -38,15 +40,27 @@ resource "aws_storage_bucket" "kv" {
 }
 
 data "aws_region" "current" {}
+
+resource "aws_security_group" "reader" {
+  name          = "reader-${data.aws_region.current.name}"
+  vpc_id        = aws_vpc.main.id
+  ingress_ports = [length(aws_subnet.s), length(aws_storage_bucket.kv)]
+}
 `
+
+// readerOf returns the instance of valuesConfig whose scope references every
+// group the tests read: a scope exposes only what its instance references.
+func readerOf(ex *config.Expansion) *config.Instance {
+	return ex.ByAddr["aws_security_group.reader"]
+}
 
 func TestValueStoreCacheInvalidation(t *testing.T) {
 	ex := expandForValues(t, valuesConfig)
 	vs := NewValueStore(ex)
-	vpc := ex.ByAddr["aws_vpc.main"]
+	reader := readerOf(ex)
 
 	// Before any write, everything is unknown.
-	scope := vs.ScopeFor(vpc)
+	scope := vs.ScopeFor(reader)
 	v, _ := scope.Lookup("aws_vpc")
 	got, err := v.GetAttr("main")
 	if err != nil || !got.IsUnknown() {
@@ -55,7 +69,7 @@ func TestValueStoreCacheInvalidation(t *testing.T) {
 
 	// Write, then the scope must expose the new value (cache invalidated).
 	vs.Set("aws_vpc.main", eval.Object(map[string]eval.Value{"id": eval.String("vpc-1")}))
-	scope = vs.ScopeFor(vpc)
+	scope = vs.ScopeFor(reader)
 	v, _ = scope.Lookup("aws_vpc")
 	got, _ = v.GetAttr("main")
 	id, err := got.GetAttr("id")
@@ -66,7 +80,7 @@ func TestValueStoreCacheInvalidation(t *testing.T) {
 	// Unrelated groups stay assembled across further writes: writing subnet
 	// values must not disturb the vpc root.
 	vs.Set("aws_subnet.s[1]", eval.Object(map[string]eval.Value{"id": eval.String("sub-1")}))
-	scope = vs.ScopeFor(vpc)
+	scope = vs.ScopeFor(reader)
 	v, _ = scope.Lookup("aws_vpc")
 	got, _ = v.GetAttr("main")
 	if id, _ := got.GetAttr("id"); id.AsString() != "vpc-1" {
@@ -80,7 +94,7 @@ func TestValueStoreCountGroupAssembly(t *testing.T) {
 	vs.Set("aws_subnet.s[0]", eval.Object(map[string]eval.Value{"id": eval.String("sub-0")}))
 	vs.Set("aws_subnet.s[2]", eval.Object(map[string]eval.Value{"id": eval.String("sub-2")}))
 
-	scope := vs.ScopeFor(ex.ByAddr["aws_vpc.main"])
+	scope := vs.ScopeFor(readerOf(ex))
 	root, _ := scope.Lookup("aws_subnet")
 	group, err := root.GetAttr("s")
 	if err != nil || group.Kind() != eval.KindList {
@@ -107,7 +121,7 @@ func TestValueStoreForEachGroupAssembly(t *testing.T) {
 	vs := NewValueStore(ex)
 	vs.Set(`aws_storage_bucket.kv["a"]`, eval.Object(map[string]eval.Value{"id": eval.String("bkt-a")}))
 
-	scope := vs.ScopeFor(ex.ByAddr["aws_vpc.main"])
+	scope := vs.ScopeFor(readerOf(ex))
 	root, _ := scope.Lookup("aws_storage_bucket")
 	group, err := root.GetAttr("kv")
 	if err != nil || group.Kind() != eval.KindObject {
@@ -130,7 +144,7 @@ func TestValueStoreDataRoot(t *testing.T) {
 	ex := expandForValues(t, valuesConfig)
 	vs := NewValueStore(ex)
 	vs.Set("data.aws_region.current", eval.Object(map[string]eval.Value{"name": eval.String("us-east-1")}))
-	scope := vs.ScopeFor(ex.ByAddr["aws_vpc.main"])
+	scope := vs.ScopeFor(readerOf(ex))
 	data, ok := scope.Lookup("data")
 	if !ok {
 		t.Fatal("data root missing")
@@ -152,5 +166,66 @@ func TestValueStoreSetUnindexedAddrIsSafe(t *testing.T) {
 	vs.Set("aws_vpc.ghost", eval.Object(map[string]eval.Value{"id": eval.String("x")}))
 	if v, ok := vs.Get("aws_vpc.ghost"); !ok || v.IsUnknown() {
 		t.Fatalf("get = %v, %v", v, ok)
+	}
+}
+
+// TestScopeReferencePinned pins what references outside the named-group
+// form evaluate to: scopes expose only what an instance references, and
+// each of these must still read as it does against the module's full roots
+// (the same diagnostic text, or the same whole-root value).
+func TestScopeReferencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		ref, diag, value string
+	}{
+		// A name the type does not declare.
+		{ref: `aws_vpc.nope.id`,
+			diag: `main.ccl:13:16: error: invalid reference aws_vpc.nope.id: object has no attribute "nope"`},
+		// A schema type with no resource in the module.
+		{ref: `aws_security_group.sg.id`,
+			diag: `main.ccl:13:16: error: reference to undeclared name "aws_security_group"`},
+		// A bare type root, in a template and as a value.
+		{ref: `"${aws_vpc}"`,
+			diag: `main.ccl:13:17: error: cannot interpolate: cannot convert object to string`},
+		{ref: `aws_vpc`, value: `{main = {arn = (known after apply), cidr_block = "10.0.0.0/16", enable_dns = true, ` +
+			`id = (known after apply), name = "main"}, other = {arn = (known after apply), cidr_block = "10.1.0.0/16", ` +
+			`enable_dns = true, id = (known after apply), name = "other"}}`},
+		// Non-attribute steps and the data and module roots.
+		{ref: `aws_vpc[0]`,
+			diag: `main.ccl:13:16: error: invalid reference aws_vpc[0]: object key must be a string, got number`},
+		{ref: `aws_vpc["other"].name`, value: `"other"`},
+		{ref: `data.aws_region.nope.name`,
+			diag: `main.ccl:13:16: error: invalid reference data.aws_region.nope.name: object has no attribute "aws_region"`},
+		{ref: `module.x.y`,
+			diag: `main.ccl:13:16: error: reference to undeclared name "module"`},
+	} {
+		src := `
+resource "aws_vpc" "main" {
+  name       = "main"
+  cidr_block = "10.0.0.0/16"
+}
+resource "aws_vpc" "other" {
+  name       = "other"
+  cidr_block = "10.1.0.0/16"
+}
+resource "aws_subnet" "s" {
+  depends_on = [aws_vpc.other]
+  vpc_id     = aws_vpc.main.id
+  name       = ` + tc.ref + `
+  cidr_block = "10.0.1.0/24"
+}
+`
+		p, diags := Compute(context.Background(), expandSrc(t, src), state.New(), Options{})
+		if tc.diag != "" {
+			if got := diags.Error(); got != tc.diag {
+				t.Errorf("%s: diagnostic\n got %s\nwant %s", tc.ref, got, tc.diag)
+			}
+			continue
+		}
+		if diags.HasErrors() {
+			t.Fatalf("%s: %s", tc.ref, diags.Error())
+		}
+		if got := p.Changes["aws_subnet.s"].After["name"].String(); got != tc.value {
+			t.Errorf("%s: value\n got %s\nwant %s", tc.ref, got, tc.value)
+		}
 	}
 }
