@@ -134,6 +134,9 @@ func (o *Options) withDefaults() Options {
 
 // Result summarizes an apply.
 type Result struct {
+	// State is the post-apply state: a fork of the plan's PriorState
+	// (state.State.Fork), so entries the apply did not touch are shared with
+	// it and must not be mutated in place.
 	State   *state.State
 	Report  *graph.WalkReport
 	Applied int
@@ -201,7 +204,9 @@ func Apply(ctx context.Context, cl cloud.Interface, p *plan.Plan, opts Options) 
 		cl = cloud.NewCoalescer(cl, cloud.CoalescerOptions{Linger: o.BatchLinger})
 	}
 
-	newState := p.PriorState.Clone()
+	// The result state forks the plan's prior: apply only Sets and Removes
+	// whole entries, so it never needs a deep copy.
+	newState := p.PriorState.Fork()
 	var stateMu sync.Mutex
 	var retries int64
 
@@ -714,7 +719,7 @@ func Destroy(ctx context.Context, cl cloud.Interface, prior *state.State, opts O
 	p := &plan.Plan{
 		Changes:    map[string]*plan.Change{},
 		Graph:      graph.New(),
-		PriorState: prior.Clone(),
+		PriorState: prior.Fork(),
 		Values:     plan.NewEmptyValueStore(),
 	}
 	for _, addr := range prior.Addrs() {

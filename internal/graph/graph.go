@@ -8,6 +8,7 @@
 package graph
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -132,41 +133,48 @@ func (e *CycleError) Error() string {
 }
 
 // TopoSort returns the nodes in dependency-first order. Ties are broken
-// lexicographically so output is deterministic. Returns a *CycleError if the
-// graph is cyclic.
+// lexicographically so output is deterministic: the ready nodes sit in a
+// min-heap, so each step emits the smallest ready node. Returns a
+// *CycleError if the graph is cyclic.
 func (g *Graph) TopoSort() ([]string, error) {
 	indeg := make(map[string]int, len(g.nodes))
+	ready := make(minHeap, 0, len(g.nodes))
 	for n := range g.nodes {
 		indeg[n] = len(g.deps[n])
-	}
-	var ready []string
-	for n, d := range indeg {
-		if d == 0 {
+		if indeg[n] == 0 {
 			ready = append(ready, n)
 		}
 	}
-	sort.Strings(ready)
+	heap.Init(&ready)
 	out := make([]string, 0, len(g.nodes))
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
+	for ready.Len() > 0 {
+		n := heap.Pop(&ready).(string)
 		out = append(out, n)
-		var unlocked []string
 		for rd := range g.rdeps[n] {
 			indeg[rd]--
 			if indeg[rd] == 0 {
-				unlocked = append(unlocked, rd)
+				heap.Push(&ready, rd)
 			}
-		}
-		if len(unlocked) > 0 {
-			ready = append(ready, unlocked...)
-			sort.Strings(ready)
 		}
 	}
 	if len(out) != len(g.nodes) {
 		return nil, &CycleError{Cycle: g.findCycle()}
 	}
 	return out, nil
+}
+
+// minHeap is a container/heap of node IDs, smallest first.
+type minHeap []string
+
+func (h minHeap) Len() int           { return len(h) }
+func (h minHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h minHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *minHeap) Push(x any)        { *h = append(*h, x.(string)) }
+func (h *minHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return n
 }
 
 // findCycle locates one cycle for error reporting.
@@ -214,10 +222,34 @@ func (g *Graph) findCycle() []string {
 	return cycle
 }
 
-// Validate returns a CycleError if the graph has a cycle.
+// Validate returns a CycleError if the graph has a cycle. It runs Kahn's
+// algorithm without ordering the output: only the count of nodes that ever
+// become ready matters.
 func (g *Graph) Validate() error {
-	_, err := g.TopoSort()
-	return err
+	indeg := make(map[string]int, len(g.nodes))
+	var ready []string
+	for n := range g.nodes {
+		indeg[n] = len(g.deps[n])
+		if indeg[n] == 0 {
+			ready = append(ready, n)
+		}
+	}
+	seen := 0
+	for len(ready) > 0 {
+		n := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		seen++
+		for rd := range g.rdeps[n] {
+			indeg[rd]--
+			if indeg[rd] == 0 {
+				ready = append(ready, rd)
+			}
+		}
+	}
+	if seen != len(g.nodes) {
+		return &CycleError{Cycle: g.findCycle()}
+	}
+	return nil
 }
 
 // Roots returns nodes with no dependencies, sorted.

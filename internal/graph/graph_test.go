@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,5 +393,101 @@ func TestDOTOutput(t *testing.T) {
 	dot := g.DOT("deps")
 	if !strings.Contains(dot, `"a" -> "b"`) {
 		t.Errorf("DOT = %s", dot)
+	}
+}
+
+// resortingTopoSort is the original TopoSort, kept as the reference order:
+// it re-sorts the whole ready list each time a node unlocks.
+func resortingTopoSort(g *Graph) []string {
+	indeg := make(map[string]int, len(g.nodes))
+	for n := range g.nodes {
+		indeg[n] = len(g.deps[n])
+	}
+	var ready []string
+	for n, d := range indeg {
+		if d == 0 {
+			ready = append(ready, n)
+		}
+	}
+	sort.Strings(ready)
+	out := make([]string, 0, len(g.nodes))
+	for len(ready) > 0 {
+		n := ready[0]
+		ready = ready[1:]
+		out = append(out, n)
+		var unlocked []string
+		for rd := range g.rdeps[n] {
+			indeg[rd]--
+			if indeg[rd] == 0 {
+				unlocked = append(unlocked, rd)
+			}
+		}
+		if len(unlocked) > 0 {
+			ready = append(ready, unlocked...)
+			sort.Strings(ready)
+		}
+	}
+	return out
+}
+
+// The heap-based TopoSort emits exactly the reference order on random DAGs
+// whose names are shuffled against the edge direction, and Validate agrees
+// with TopoSort on acyclic and cyclic graphs alike.
+func TestTopoSortMatchesResortingReference(t *testing.T) {
+	cyclic := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		names := make([]string, n)
+		for i, p := range rng.Perm(n) {
+			names[i] = fmt.Sprintf("r%03d", p)
+		}
+		g := New()
+		for _, name := range names {
+			g.AddNode(name)
+		}
+		density := rng.Float64() * 0.3
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if rng.Float64() < density {
+					mustEdge(t, g, names[i], names[j])
+				}
+			}
+		}
+		got, err := g.TopoSort()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if want := resortingTopoSort(g); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("seed %d: order\n got  %v\n want %v", seed, got, want)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("seed %d: Validate on a DAG: %v", seed, err)
+		}
+
+		// An edge from a low-index node to a higher one closes a cycle
+		// when the higher one already reaches it.
+		if n < 2 {
+			continue
+		}
+		i := rng.Intn(n - 1)
+		mustEdge(t, g, names[i], names[i+1+rng.Intn(n-1-i)])
+		_, terr := g.TopoSort()
+		verr := g.Validate()
+		if terr == nil && verr == nil {
+			continue
+		}
+		var tc, vc *CycleError
+		if !errors.As(terr, &tc) || !errors.As(verr, &vc) {
+			t.Fatalf("seed %d: TopoSort err %v, Validate err %v; want *CycleError from both", seed, terr, verr)
+		}
+		if tc.Error() != vc.Error() {
+			t.Fatalf("seed %d: cycles differ: %v vs %v", seed, tc, vc)
+		}
+		cyclic++
+	}
+	t.Logf("%d of 300 graphs became cyclic", cyclic)
+	if cyclic < 50 {
+		t.Errorf("only %d cyclic graphs exercised", cyclic)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -475,7 +476,7 @@ func (q *Queue) worker() {
 		q.appendLocked(j)
 		q.mu.Unlock()
 
-		res, err := j.fn(j.ctx)
+		res, err := runIsolated(j)
 		latency := q.opts.Clock().Sub(j.started)
 		j.cancel()
 		q.gate.Release()
@@ -487,6 +488,18 @@ func (q *Queue) worker() {
 		}
 		q.finish(j, res, err)
 	}
+}
+
+// runIsolated calls the job's function, turning a panic into the job's
+// error (the panic value plus the goroutine stack), so one tenant's bug
+// fails its own job instead of killing the daemon and every other tenant.
+func runIsolated(j *Job) (res any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("jobs: job %s panicked: %v\n%s", j.id, p, debug.Stack())
+		}
+	}()
+	return j.fn(j.ctx)
 }
 
 // finish moves a dispatched job to its terminal state.

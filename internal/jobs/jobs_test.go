@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -416,5 +417,44 @@ func TestQueueCancelAndShutdown(t *testing.T) {
 	}
 	if _, err := q.Submit(Request{Tenant: "t", Fn: blocked}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after shutdown: got %v, want ErrClosed", err)
+	}
+}
+
+// TestQueuePanicFailsOnlyThatJob: a panicking job ends failed with the panic
+// value and stack in its error, and the single worker it ran on goes on to
+// run the next job (so the admission gate was released, too).
+func TestQueuePanicFailsOnlyThatJob(t *testing.T) {
+	q := New(Options{Workers: 1, FixedAdmission: true})
+	defer q.Shutdown(context.Background())
+	bad, err := q.Submit(Request{Tenant: "t", Kind: "plan", Fn: func(ctx context.Context) (any, error) {
+		var m map[string]int
+		m["boom"]++ // nil-map write panics
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := bad.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != StatusFailed {
+		t.Fatalf("panicking job status = %s, want %s", view.Status, StatusFailed)
+	}
+	if !strings.Contains(view.Err, "panicked: assignment to entry in nil map") ||
+		!strings.Contains(view.Err, "TestQueuePanicFailsOnlyThatJob") {
+		t.Errorf("error lacks the panic value or stack:\n%s", view.Err)
+	}
+
+	good, err := q.Submit(Request{Tenant: "t", Kind: "plan", Fn: func(ctx context.Context) (any, error) {
+		return "ok", nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if view, err := good.Wait(ctx); err != nil || view.Status != StatusSucceeded {
+		t.Fatalf("next job = %s, %v; want succeeded", view.Status, err)
 	}
 }

@@ -73,7 +73,9 @@ type Plan struct {
 	// Values is the value store seeded during planning; the applier
 	// continues filling it.
 	Values *ValueStore
-	// PriorState is the (possibly refreshed) state planning ran against.
+	// PriorState is the (possibly refreshed) state planning ran against: a
+	// fork of the caller's state (state.State.Fork) whose unrefreshed
+	// entries are shared with it and must not be mutated in place.
 	PriorState *state.State
 	// BaseSerial is the golden-state serial the plan is pinned at: the
 	// serial of the snapshot planning read. Apply commits carry it so a
@@ -195,8 +197,10 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 	// incremental planner only those in scope. The Gets fan out through the
 	// provider runtime as fresh reads (refresh exists to observe
 	// out-of-band change, so cached values would defeat it); results are
-	// folded back in address order so diagnostics stay deterministic.
-	prior = prior.Clone()
+	// folded back in address order so diagnostics stay deterministic. The
+	// plan works on a fork of the caller's state, so refreshed entries are
+	// stored as copies rather than written in place.
+	prior = prior.Fork()
 	if opts.Refresh {
 		if opts.Cloud == nil {
 			return p, diags.Append(hcl.Errorf(hcl.Range{}, "refresh requested without a cloud connection"))
@@ -246,8 +250,10 @@ func Compute(ctx context.Context, ex *config.Expansion, prior *state.State, opts
 			case err != nil:
 				diags = diags.Append(hcl.Errorf(hcl.Range{}, "refresh %s: %s", addr, err))
 			default:
-				rs.Attrs = cur.Attrs
-				rs.Region = cur.Region
+				fresh := *rs
+				fresh.Attrs = cur.Attrs
+				fresh.Region = cur.Region
+				prior.Set(&fresh)
 			}
 		}
 		if diags.HasErrors() {

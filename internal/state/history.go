@@ -42,18 +42,7 @@ func NewHistory(limit int) *History {
 // snapshot's, that serial is kept, so a state store's serial numbers and its
 // history line up; otherwise the next sequential serial is assigned.
 func (h *History) Commit(s *State, description, configFingerprint string) int {
-	return h.commit(s.Clone(), description, configFingerprint)
-}
-
-// CommitOwned is Commit without the defensive clone: the caller hands over
-// ownership of s, which must not be mutated afterwards. Storage engines use
-// it to feed the time machine with snapshots they already materialized,
-// avoiding a second full-state copy per commit.
-func (h *History) CommitOwned(s *State, description, configFingerprint string) int {
-	return h.commit(s, description, configFingerprint)
-}
-
-func (h *History) commit(cp *State, description, configFingerprint string) int {
+	cp := s.Clone()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	last := 0

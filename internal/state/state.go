@@ -83,6 +83,26 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// Fork returns a copy-on-write copy of the state: new Resources and Outputs
+// maps whose entries are shared with s. Set and Remove on the fork leave s
+// untouched, so a fork costs O(entries) pointer copies instead of a deep
+// copy. A shared *ResourceState must never be mutated in place, through
+// either state: store a modified Clone with Set instead.
+func (s *State) Fork() *State {
+	c := &State{
+		Serial:    s.Serial,
+		Resources: make(map[string]*ResourceState, len(s.Resources)),
+		Outputs:   make(map[string]eval.Value, len(s.Outputs)),
+	}
+	for addr, rs := range s.Resources {
+		c.Resources[addr] = rs
+	}
+	for k, v := range s.Outputs {
+		c.Outputs[k] = v
+	}
+	return c
+}
+
 // Get returns the resource at an address, or nil.
 func (s *State) Get(addr string) *ResourceState {
 	return s.Resources[addr]

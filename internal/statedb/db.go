@@ -18,11 +18,11 @@ import (
 // time machine on top.
 type DB struct {
 	engine  Engine
-	history *state.History
+	history *History
 	locks   *LockManager
 	nextTxn atomic.Int64
 
-	// commitMu serializes engine commit + history snapshot so the time
+	// commitMu serializes engine commit + history record so the time
 	// machine records every serial exactly once, in order.
 	commitMu sync.Mutex
 
@@ -44,15 +44,12 @@ func Open(initial *state.State, mode LockMode) *DB {
 // OpenEngine creates a database over an already-constructed storage engine.
 func OpenEngine(eng Engine, mode LockMode) *DB {
 	db := &DB{
-		engine:  eng,
-		history: state.NewHistory(0),
-		locks:   NewLockManager(mode),
+		engine: eng,
+		locks:  NewLockManager(mode),
 	}
 	// Seed the time machine with the engine's current state, so
-	// DB.Serial() always names a snapshot History.At can retrieve.
-	if snap, err := eng.Snapshot(0); err == nil {
-		db.history.CommitOwned(snap, "initial", "")
-	}
+	// DB.Serial() always names a version History.At can retrieve.
+	db.history = newHistory(db.Snapshot())
 	return db
 }
 
@@ -70,7 +67,7 @@ func (db *DB) Close() error { return db.engine.Close() }
 func (db *DB) Locks() *LockManager { return db.locks }
 
 // History exposes the time machine.
-func (db *DB) History() *state.History { return db.history }
+func (db *DB) History() *History { return db.history }
 
 // Snapshot returns a deep copy of the current golden state.
 func (db *DB) Snapshot() *state.State {
@@ -90,8 +87,14 @@ func (db *DB) SnapshotAt(serial int) (*state.State, error) {
 	return db.engine.Snapshot(serial)
 }
 
-// Serial returns the current state serial.
-func (db *DB) Serial() int { return db.engine.Serial() }
+// Serial returns the current state serial. It waits out an in-flight
+// commit, so the serial it returns always names a version History.At can
+// retrieve.
+func (db *DB) Serial() int {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	return db.engine.Serial()
+}
 
 // CommitCount and AbortCount expose transaction outcome counters.
 func (db *DB) CommitCount() int64 { return db.commits.Load() }
@@ -293,9 +296,9 @@ func (t *Txn) Delete(addr string) error {
 }
 
 // Commit atomically publishes the transaction's writes through the storage
-// engine, records a history snapshot, and releases all locks. Committing an
-// already-committed transaction is a no-op returning the original serial;
-// committing an aborted transaction is an error. When the transaction was
+// engine, hands the batch to the time machine, and releases all locks.
+// Committing an already-committed transaction is a no-op returning the
+// original serial; committing an aborted transaction is an error. When the transaction was
 // pinned with BeginAt/SetBase, a conflicting concurrent commit surfaces as
 // *StaleBaseError and the transaction stays open (abort it and re-plan).
 func (t *Txn) Commit() (serial int, err error) {
@@ -317,12 +320,18 @@ func (t *Txn) Commit() (serial int, err error) {
 		b.Outputs = t.outputs
 		b.SetOutputs = true
 	}
+	h := t.db.history
 	t.db.commitMu.Lock()
 	serial, err = t.db.engine.Commit(b)
 	if err == nil {
-		if snap, serr := t.db.engine.Snapshot(serial); serr == nil {
-			t.db.history.CommitOwned(snap, t.desc, "")
-		}
+		// The writes were cloned on Put and the transaction drops its
+		// maps below, so the history takes the batch without a copy.
+		h.record(serial, b)
+	} else if s := t.db.engine.Serial(); s > h.head() {
+		// The engine applied the batch and then failed (a durable engine's
+		// compaction): keep the time machine on the engine's serial. The
+		// transaction stays open and keeps its maps, so record a copy.
+		h.record(s, b.clone())
 	}
 	t.db.commitMu.Unlock()
 	if err != nil {
@@ -357,5 +366,6 @@ func (t *Txn) finishLocked(final txnState) {
 	t.state = final
 	t.writes = nil
 	t.deletes = nil
+	t.outputs = nil
 	t.locked = map[string]bool{}
 }
